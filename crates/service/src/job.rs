@@ -348,6 +348,36 @@ mod tests {
     }
 
     #[test]
+    fn full_trace_log_line_round_trips() {
+        // One faulty 150-step run: a ~30 KB line, mostly object keys.
+        let spec = CampaignSpec {
+            patient_indices: vec![0],
+            initial_bgs: vec![120.0],
+            ..CampaignSpec::quick(aps_sim::platform::Platform::GlucosymOref0)
+        };
+        let trace = aps_sim::campaign::CampaignStream::new(&spec, None)
+            .nth(1)
+            .unwrap();
+        assert_eq!(trace.len(), 150);
+        let line = LogLine {
+            job_index: 1,
+            trace: Some(trace),
+            ..LogLine::default()
+        };
+        let text = serde_json::to_string(&line).unwrap();
+        assert!(text.len() > 20_000, "line is {} bytes", text.len());
+        assert_eq!(serde_json::from_str::<LogLine>(&text).unwrap(), line);
+
+        let dir = std::env::temp_dir().join("aps_service_full_line_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard-0.log.jsonl");
+        ShardLogWriter::append(&path).unwrap().push(&line).unwrap();
+        assert_eq!(read_shard_log(&path).unwrap(), vec![line]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn missing_log_reads_as_empty() {
         let path = std::env::temp_dir().join("aps_service_no_such_log.jsonl");
         let _ = std::fs::remove_file(&path);
