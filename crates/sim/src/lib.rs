@@ -59,6 +59,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod closed_loop;
 pub mod dataset;
+mod executor;
 pub mod io;
 pub mod outcome;
 pub mod platform;

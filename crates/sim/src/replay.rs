@@ -11,18 +11,19 @@
 //!
 //! Campaign-scale replay is parallel ([`replay_campaign`]) and can
 //! stream results through a bounded-memory ordered sink
-//! ([`replay_campaign_with`]), mirroring the live campaign executor's
-//! API. Recorded corpora in the binary trace store replay without
-//! loading the whole campaign as owned traces: [`replay_store_with`]
-//! materializes each trace from the store's columns only while it is
-//! in flight.
+//! ([`replay_campaign_with`]) on the live campaign runners' ordered
+//! executor, sized by the same [`worker_count`] policy. Recorded
+//! corpora in the binary trace store replay without loading the whole
+//! campaign as owned traces: [`replay_store_with`] materializes each
+//! trace from the store's columns only while it is in flight.
 
+use crate::campaign::worker_count;
+use crate::executor::run_ordered;
 use aps_core::monitors::{HazardMonitor, MonitorInput};
 use aps_tracestore::TraceStoreReader;
 use aps_types::{AlertTrack, SimTrace, UnitsPerHour};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 
 /// Replays `trace` through `monitor`, returning a copy with the
 /// `alert` column rewritten to the monitor's verdicts (and
@@ -71,10 +72,9 @@ pub fn replay_monitor(trace: &SimTrace, monitor: &mut dyn HazardMonitor) -> SimT
 /// trace gets a fresh one), streaming each replayed trace — in input
 /// order — into `sink(index, trace)`.
 ///
-/// The executor mirrors [`run_campaign_with`]: workers claim trace
-/// indices from a lock-free atomic counter and the calling thread
-/// drains their results through an ordered reorder buffer, so memory
-/// stays bounded however large the recorded campaign is.
+/// Replays run on the same ordered executor, with the same worker
+/// count, as [`run_campaign_with`], so memory stays bounded however
+/// large the recorded campaign is.
 ///
 /// [`run_campaign_with`]: crate::campaign::run_campaign_with
 pub fn replay_campaign_with<F>(traces: &[SimTrace], factory: F, sink: impl FnMut(usize, SimTrace))
@@ -112,81 +112,29 @@ where
     out
 }
 
-/// The executor shared by the in-memory and store replay paths:
-/// `get(i)` supplies trace `i` (borrowed from a slice, or materialized
-/// from store columns), workers claim indices lock-free, and the
-/// calling thread drains an ordered reorder buffer.
+/// The adapter shared by the in-memory and store replay paths onto
+/// the crate's one ordered executor: `get(i)` supplies trace `i`
+/// (borrowed from a slice, or materialized from store columns) and a
+/// worker replays it through a fresh monitor from `factory`.
 fn replay_source_with<'a, G, F>(n: usize, get: G, factory: F, mut sink: impl FnMut(usize, SimTrace))
 where
     G: Fn(usize) -> Cow<'a, SimTrace> + Sync,
     F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n.max(1));
-    if workers <= 1 {
-        for i in 0..n {
+    let Ok(_) = run_ordered(
+        n,
+        worker_count(None).0,
+        None,
+        |i| {
             let t = get(i);
             let mut monitor = factory(&t);
-            sink(i, replay_monitor(&t, monitor.as_mut()));
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let emitted = AtomicUsize::new(0);
-    // Bounded on both sides, like `run_campaign_with`: the channel
-    // backpressures a slow sink, the run-ahead gate caps the reorder
-    // buffer under head-of-line blocking.
-    let max_ahead = 4 * workers;
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, SimTrace)>(2 * workers);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let emitted = &emitted;
-            let factory = &factory;
-            let get = &get;
-            scope.spawn(move || loop {
-                // sound: Relaxed suffices — the atomic RMW hands each
-                // worker a unique, monotone claim index; replayed data
-                // is published by the channel send, not this counter.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // sound: Acquire pairs with the frontier's Release
-                // store below; a stale read only parks the worker one
-                // extra poll, it never lets i through the gate early.
-                while i >= emitted.load(Ordering::Acquire) + max_ahead {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-                let t = get(i);
-                let mut monitor = factory(&t);
-                let replayed = replay_monitor(&t, monitor.as_mut());
-                if tx.send((i, replayed)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        let mut pending: BTreeMap<usize, SimTrace> = BTreeMap::new();
-        let mut next_emit = 0usize;
-        for (i, trace) in rx {
-            pending.insert(i, trace);
-            while let Some(trace) = pending.remove(&next_emit) {
-                sink(next_emit, trace);
-                next_emit += 1;
-                // sound: Release publishes the advanced frontier to
-                // the gate's Acquire loads, ordering all emissions
-                // before any worker that runs ahead on their strength.
-                emitted.store(next_emit, Ordering::Release);
-            }
-        }
-        debug_assert!(pending.is_empty(), "replay stream ended with gaps");
-    });
+            replay_monitor(&t, monitor.as_mut())
+        },
+        |i, trace| {
+            sink(i, trace);
+            Ok::<_, Infallible>(())
+        },
+    );
 }
 
 /// Replays a whole campaign, parallelized over the available cores
@@ -352,5 +300,36 @@ mod tests {
         });
         assert_eq!(indices, (0..recorded.len()).collect::<Vec<_>>());
         assert_eq!(streamed, sequential);
+    }
+
+    /// A monitor factory that panics once must reach the caller as
+    /// that panic, not strand the surviving workers at the run-ahead
+    /// gate.
+    #[test]
+    fn replay_worker_panic_reaches_the_caller() {
+        use crate::executor::tests::within_watchdog;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let spec = CampaignSpec {
+            patient_indices: vec![0],
+            initial_bgs: vec![140.0],
+            steps: 30,
+            ..CampaignSpec::quick(Platform::GlucosymOref0)
+        };
+        let recorded = run_campaign(&spec, None);
+        let caught = within_watchdog(move || {
+            let first = AtomicBool::new(true);
+            catch_unwind(AssertUnwindSafe(|| {
+                replay_campaign(&recorded, |_t| {
+                    if first.swap(false, Ordering::Relaxed) {
+                        panic!("replay factory panicked");
+                    }
+                    Box::new(aps_core::monitors::NullMonitor)
+                })
+            }))
+            .map(|_| ())
+            .map_err(|p| p.downcast_ref::<&str>().copied())
+        });
+        assert_eq!(caught, Err(Some("replay factory panicked")));
     }
 }

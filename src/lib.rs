@@ -125,7 +125,7 @@
 //!   [`sim::campaign::run_campaign_serial`], and
 //!   [`sim::campaign::CampaignStream`] is the pull-based lazy
 //!   counterpart. Offline monitor replay
-//!   ([`sim::replay::replay_campaign`]) parallelizes the same way.
+//!   ([`sim::replay::replay_campaign`]) runs on the same executor.
 //! * **Monitor banks** — a [`core::monitors::MonitorBank`] steps N
 //!   monitors against one physics pass (alert streams recorded per
 //!   member in the trace), so scoring a zoo of M monitors live costs
@@ -217,7 +217,10 @@
 //! `APS_WORKERS` environment variable, then detected parallelism,
 //! clamped to [`sim::campaign::MAX_WORKERS`]) and the chosen source
 //! is surfaced in the report ([`sim::campaign::WorkerSource`]) so a
-//! silent fallback to one worker is visible.
+//! silent fallback to one worker is visible. The same resolution
+//! ([`sim::campaign::worker_count`]) sizes every parallel path — the
+//! scalar, batched and fault-tolerant campaign runners and offline
+//! monitor replay — which all share one ordered executor.
 //!
 //! ```
 //! use aps_repro::prelude::*;
