@@ -1,17 +1,15 @@
 //! Fixed-step Runge–Kutta integration for the patient ODE models.
 //!
-//! The integrator comes in two flavors sharing one arithmetic core (so
-//! their trajectories are bit-identical):
+//! The integrator comes in two shapes sharing one per-lane arithmetic
+//! (so their trajectories are bit-identical):
 //!
 //! * [`Rk4Scratch`] — a const-generic, stack-only scratch for states of
 //!   statically known dimension (Bergman is 6, Dalla Man 13). No heap
 //!   allocation anywhere: the five k/tmp buffers live inline in the
-//!   struct. This is what the patient models use in the simulation hot
-//!   loop.
-//! * [`rk4_step`] / [`integrate`] — the original slice-based API, kept
-//!   as thin wrappers for dynamically sized states. `integrate` now
-//!   allocates one scratch per *call* instead of five `Vec`s per
-//!   *step*, which was the dominant allocation cost of a campaign run.
+//!   struct. The scalar patient models step with it.
+//! * [`BatchedRk4Scratch`] — the same stages over `LANES` independent
+//!   states in structure-of-arrays form, which the lockstep campaign
+//!   engine's patient banks step with.
 
 /// The state stopped being representable: some component became NaN or
 /// ±∞ during (or before) an RK4 step.
@@ -63,9 +61,8 @@ where
     }
 }
 
-/// The shared RK4 arithmetic core. Every public entry point funnels
-/// through here, which is what guarantees bit-identical results across
-/// the fixed-size and slice-based APIs.
+/// The scalar RK4 arithmetic core; [`BatchedRk4Scratch::step`] mirrors
+/// it stage for stage.
 #[inline]
 #[allow(clippy::too_many_arguments)] // the five scratch buffers are the point
 fn rk4_core<D: Dynamics + ?Sized>(
@@ -249,112 +246,6 @@ impl<const N: usize> Default for Rk4Scratch<N> {
     }
 }
 
-/// Heap-backed scratch for dynamically sized states; backs the
-/// slice-based compatibility API.
-#[derive(Debug, Clone, Default)]
-pub struct Rk4ScratchDyn {
-    buf: Vec<f64>,
-}
-
-impl Rk4ScratchDyn {
-    /// Empty scratch; buffers grow on first use and are reused after.
-    pub fn new() -> Rk4ScratchDyn {
-        Rk4ScratchDyn::default()
-    }
-
-    /// Advances `x` from `t` by `dt` with one classical RK4 step,
-    /// reusing this scratch's buffers (no allocation once warm).
-    pub fn step<D: Dynamics + ?Sized>(&mut self, dyn_: &D, t: f64, x: &mut [f64], dt: f64) {
-        let n = x.len();
-        if self.buf.len() < 5 * n {
-            self.buf.resize(5 * n, 0.0);
-        }
-        let (k1, rest) = self.buf.split_at_mut(n);
-        let (k2, rest) = rest.split_at_mut(n);
-        let (k3, rest) = rest.split_at_mut(n);
-        let (k4, tmp) = rest.split_at_mut(n);
-        rk4_core(dyn_, t, x, dt, k1, k2, k3, k4, &mut tmp[..n]);
-    }
-
-    /// Integrates from `t0` over `duration` using steps of at most
-    /// `max_dt`, mutating `x` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_dt` or `duration` is non-positive.
-    pub fn integrate<D: Dynamics + ?Sized>(
-        &mut self,
-        dyn_: &D,
-        t0: f64,
-        x: &mut [f64],
-        duration: f64,
-        max_dt: f64,
-    ) {
-        let (steps, dt) = substeps(duration, max_dt);
-        let mut t = t0;
-        for _ in 0..steps {
-            self.step(dyn_, t, x, dt);
-            t += dt;
-        }
-    }
-
-    /// Checked variant of [`step`](Rk4ScratchDyn::step); see
-    /// [`Rk4Scratch::try_step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonFiniteState`] naming the first offending component.
-    pub fn try_step<D: Dynamics + ?Sized>(
-        &mut self,
-        dyn_: &D,
-        t: f64,
-        x: &mut [f64],
-        dt: f64,
-    ) -> Result<(), NonFiniteState> {
-        if let Some(component) = first_non_finite(x) {
-            return Err(NonFiniteState {
-                at_minutes: t,
-                component,
-            });
-        }
-        self.step(dyn_, t, x, dt);
-        match first_non_finite(x) {
-            Some(component) => Err(NonFiniteState {
-                at_minutes: t,
-                component,
-            }),
-            None => Ok(()),
-        }
-    }
-
-    /// Checked variant of [`integrate`](Rk4ScratchDyn::integrate); see
-    /// [`Rk4Scratch::try_integrate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonFiniteState`] for the offending substep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_dt` or `duration` is non-positive.
-    pub fn try_integrate<D: Dynamics + ?Sized>(
-        &mut self,
-        dyn_: &D,
-        t0: f64,
-        x: &mut [f64],
-        duration: f64,
-        max_dt: f64,
-    ) -> Result<(), NonFiniteState> {
-        let (steps, dt) = substeps(duration, max_dt);
-        let mut t = t0;
-        for _ in 0..steps {
-            self.try_step(dyn_, t, x, dt)?;
-            t += dt;
-        }
-        Ok(())
-    }
-}
-
 /// Continuous-time dynamics over a lane-batched structure-of-arrays
 /// state: `D` compartments, each a contiguous `[f64; LANES]` row.
 ///
@@ -473,7 +364,7 @@ impl<const D: usize, const LANES: usize> BatchedRk4Scratch<D, LANES> {
 
     /// Integrates all lanes from `t0` over `duration` using steps of at
     /// most `max_dt`, mutating `x` in place. Substep subdivision is the
-    /// same `substeps` rule as the scalar integrators, so lane
+    /// same `substeps` rule as the scalar integrator, so lane
     /// trajectories stay aligned with [`Rk4Scratch::integrate`].
     ///
     /// Unlike the scalar `try_integrate`, a lane that goes non-finite
@@ -510,34 +401,6 @@ impl<const D: usize, const LANES: usize> Default for BatchedRk4Scratch<D, LANES>
     }
 }
 
-/// Advances `x` from `t` by `dt` with one classical RK4 step.
-///
-/// Compatibility wrapper over [`Rk4ScratchDyn`]; hot paths should hold
-/// a scratch (or use [`Rk4Scratch`]) instead of paying one allocation
-/// per call.
-pub fn rk4_step<D: Dynamics + ?Sized>(dyn_: &D, t: f64, x: &mut [f64], dt: f64) {
-    Rk4ScratchDyn::new().step(dyn_, t, x, dt);
-}
-
-/// Integrates from `t0` over `duration` using steps of at most
-/// `max_dt`, mutating `x` in place.
-///
-/// Allocates one scratch for the whole call (the seed implementation
-/// allocated five `Vec`s per step).
-///
-/// # Panics
-///
-/// Panics if `max_dt` or `duration` is non-positive.
-pub fn integrate<D: Dynamics + ?Sized>(
-    dyn_: &D,
-    t0: f64,
-    x: &mut [f64],
-    duration: f64,
-    max_dt: f64,
-) {
-    Rk4ScratchDyn::new().integrate(dyn_, t0, x, duration, max_dt);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,7 +411,7 @@ mod tests {
         let k = 0.3;
         let f = move |_t: f64, x: &[f64], d: &mut [f64]| d[0] = -k * x[0];
         let mut x = [1.0];
-        integrate(&f, 0.0, &mut x, 10.0, 0.1);
+        Rk4Scratch::<1>::new().integrate(&f, 0.0, &mut x, 10.0, 0.1);
         let exact = (-k * 10.0f64).exp();
         assert!((x[0] - exact).abs() < 1e-8, "{} vs {}", x[0], exact);
     }
@@ -561,7 +424,7 @@ mod tests {
             d[1] = -x[0];
         };
         let mut x = [1.0, 0.0];
-        integrate(&f, 0.0, &mut x, 2.0 * std::f64::consts::PI, 0.01);
+        Rk4Scratch::<2>::new().integrate(&f, 0.0, &mut x, 2.0 * std::f64::consts::PI, 0.01);
         assert!((x[0] - 1.0).abs() < 1e-6);
         assert!(x[1].abs() < 1e-6);
     }
@@ -571,7 +434,7 @@ mod tests {
         // dx/dt = t  =>  x(T) = T^2 / 2
         let f = |t: f64, _x: &[f64], d: &mut [f64]| d[0] = t;
         let mut x = [0.0];
-        integrate(&f, 0.0, &mut x, 4.0, 0.5);
+        Rk4Scratch::<1>::new().integrate(&f, 0.0, &mut x, 4.0, 0.5);
         assert!((x[0] - 8.0).abs() < 1e-9);
     }
 
@@ -580,7 +443,7 @@ mod tests {
         let f = |_t: f64, x: &[f64], d: &mut [f64]| d[0] = -x[0];
         let mut x = [1.0];
         // 5 minutes with max_dt 0.4 -> 13 steps of 5/13.
-        integrate(&f, 0.0, &mut x, 5.0, 0.4);
+        Rk4Scratch::<1>::new().integrate(&f, 0.0, &mut x, 5.0, 0.4);
         assert!((x[0] - (-5.0f64).exp()).abs() < 1e-4);
     }
 
@@ -589,7 +452,7 @@ mod tests {
     fn zero_dt_panics() {
         let f = |_t: f64, _x: &[f64], _d: &mut [f64]| {};
         let mut x = [0.0];
-        integrate(&f, 0.0, &mut x, 1.0, 0.0);
+        Rk4Scratch::<1>::new().integrate(&f, 0.0, &mut x, 1.0, 0.0);
     }
 
     /// The seed implementation (five `Vec` allocations per step),
@@ -623,8 +486,8 @@ mod tests {
     fn scratch_paths_are_bit_identical_to_seed() {
         // A stiff-ish nonlinear 3-state system with time dependence,
         // integrated over many uneven windows with a single reused
-        // scratch. Every representation must match the seed's output
-        // exactly (same arithmetic, same order).
+        // scratch. The scratch must match the seed's output exactly
+        // (same arithmetic, same order).
         let f = |t: f64, x: &[f64], d: &mut [f64]| {
             d[0] = -0.07 * x[0] + 2.0 * (0.1 * x[1] * x[2]).tanh() + 0.01 * t;
             d[1] = 0.03 * x[0] - 0.2 * x[1];
@@ -632,9 +495,7 @@ mod tests {
         };
         let mut seed_x = [120.0, 3.0, 0.5];
         let mut fixed_x = seed_x;
-        let mut dyn_x = seed_x.to_vec();
         let mut fixed = Rk4Scratch::<3>::new();
-        let mut dynamic = Rk4ScratchDyn::new();
         let mut t = 0.0;
         for window in [5.0, 3.3, 7.1, 0.4, 12.0] {
             let t0 = t;
@@ -644,9 +505,7 @@ mod tests {
                 t += dt;
             }
             fixed.integrate(&f, t0, &mut fixed_x, window, 1.0);
-            dynamic.integrate(&f, t0, &mut dyn_x, window, 1.0);
-            assert_eq!(seed_x.to_vec(), fixed_x.to_vec(), "fixed scratch diverged");
-            assert_eq!(seed_x.to_vec(), dyn_x, "dyn scratch diverged");
+            assert_eq!(seed_x, fixed_x, "fixed scratch diverged");
         }
     }
 
@@ -689,12 +548,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.component, 0);
         assert!(err.at_minutes < 500.0);
-        // The dyn scratch reports the identical failure point.
-        let mut y = vec![1.0];
-        let err_dyn = Rk4ScratchDyn::new()
-            .try_integrate(&f, 0.0, &mut y, 500.0, 1.0)
-            .unwrap_err();
-        assert_eq!(err, err_dyn);
     }
 
     #[test]

@@ -1,30 +1,32 @@
-//! Batched lockstep campaign execution.
+//! The closed-loop engine, run as a lockstep block of lanes.
 //!
-//! The scalar executors run campaign jobs one closed loop at a time;
-//! every control cycle pays the full RK4 integration for a single
-//! patient. This module steps a *block* of up to [`BATCH_LANES`] jobs
-//! in lockstep instead: each job becomes a lane of a
-//! structure-of-arrays patient bank
+//! Every run in the crate goes through one per-cycle loop
+//! (`run_block_engine`): a [`Session`](crate::session::Session) or a
+//! positional [`closed_loop::run`](crate::closed_loop::run) is a
+//! one-lane block over its own [`PatientSim`], each job of the scalar
+//! and fault-tolerant campaign executors a one-lane block
+//! ([`run_block::<1>`](run_block)), and the batched executor steps
+//! blocks of up to [`BATCH_LANES`] jobs together. In a campaign block
+//! each job becomes a lane of a structure-of-arrays patient bank
 //! ([`aps_glucose::bergman::BatchedBergman`] /
-//! [`aps_glucose::dalla_man::BatchedDallaMan`]), the
-//! physics integrates all lanes with per-lane loops over flat arrays
-//! (the shape the auto-vectorizer turns into SIMD), and the scalar
-//! per-cycle components — controller, CGM, pump, monitor, injector,
-//! mitigation, trace recording — run per lane exactly as the scalar
-//! engine runs them.
+//! [`aps_glucose::dalla_man::BatchedDallaMan`]), the physics
+//! integrates all lanes with per-lane loops over flat arrays (the
+//! shape the auto-vectorizer turns into SIMD), and the per-cycle
+//! components — controller, CGM, pump, monitors, injector, mitigation,
+//! trace recording — run per lane.
 //!
 //! # Bit-identity
 //!
-//! [`run_block`] is defined to produce, lane for lane, the same bytes
-//! as [`run_campaign_serial`](crate::campaign::run_campaign_serial)
-//! produces job for job (pinned by `tests/batched_equivalence.rs`).
-//! Lanes are arithmetically independent — no horizontal reductions,
-//! no lane-crossing terms — and every per-lane expression keeps the
-//! scalar engine's operation order, so IEEE-754 determinism carries
-//! the equivalence. A lane whose ODE state diverges to NaN/∞ fails its
-//! end-of-cycle finiteness check at the same cycle index as the scalar
-//! engine's `state_is_finite` check (non-finite state is absorbing
-//! under the additive RK4 update), surfaces as that job's
+//! A job's trace does not depend on the width of the block it runs in:
+//! [`run_block`] produces, lane for lane, the same bytes as
+//! [`run_campaign_serial`](crate::campaign::run_campaign_serial)'s
+//! one-lane blocks (pinned by `tests/batched_equivalence.rs`;
+//! `tests/golden.rs` pins both the campaign and the session path to
+//! committed digests). Lanes are arithmetically independent — no horizontal reductions,
+//! no lane-crossing terms — and every batched physics expression keeps
+//! the scalar patient models' operation order, so IEEE-754 determinism
+//! carries the equivalence. A lane whose ODE state diverges to NaN/∞
+//! fails its end-of-cycle finiteness check, surfaces as that job's
 //! [`SimError::NonFinite`], and — because nothing crosses lanes —
 //! never poisons its lane-mates.
 
@@ -34,7 +36,6 @@ use crate::campaign::{
 use crate::closed_loop::LoopConfig;
 use crate::executor::run_ordered;
 use crate::outcome::SimError;
-use crate::session::FaultRoute;
 use aps_controllers::Controller;
 use aps_core::hms::{ContextMitigator, ContextMitigatorConfig};
 use aps_core::mitigation::Mitigator;
@@ -43,9 +44,9 @@ use aps_fault::FaultInjector;
 use aps_glucose::bergman::BatchedBergman;
 use aps_glucose::dalla_man::BatchedDallaMan;
 use aps_glucose::patients::CohortPatient;
-use aps_glucose::pump::PumpBank;
-use aps_glucose::sensor::CgmBank;
-use aps_glucose::BatchedPatientSim;
+use aps_glucose::pump::Pump;
+use aps_glucose::sensor::Cgm;
+use aps_glucose::{BatchedPatientSim, PatientSim};
 use aps_types::{
     AlertTrack, ControlAction, Hazard, MgDl, SimTrace, Step, StepRecord, TraceMeta, UnitsPerHour,
     CONTROL_CYCLE_MINUTES,
@@ -61,92 +62,150 @@ use std::convert::Infallible;
 /// lanes.
 pub const BATCH_LANES: usize = 8;
 
-/// The per-lane scalar harness: everything a closed-loop run owns
-/// besides the physics, which lives in the shared lane bank.
-struct Lane {
-    controller: Box<dyn Controller>,
-    monitor: Option<Box<dyn HazardMonitor>>,
-    injector: Option<FaultInjector>,
-    config: LoopConfig,
-    fault_plan: Option<(FaultRoute, (f64, f64), String)>,
+/// Where the scenario's target variable sits in the control loop.
+enum FaultRoute {
+    /// Actuator command, perturbed after the controller decision.
+    Rate,
+    /// CGM input, perturbed before the decision.
+    Glucose,
+    /// Controller-internal variable, by name.
+    Internal(String),
+}
+
+/// The per-lane harness: everything a closed-loop run needs besides
+/// the physics, which lives in the shared lane bank. The parts are
+/// borrowed, so a [`Session`](crate::session::Session) can lend the
+/// parts it owns and run again, and a campaign block lends the parts
+/// [`build_lane`] made for the length of the block.
+struct Lane<'a> {
+    controller: &'a mut dyn Controller,
+    /// Ordered: index 0 is the primary monitor, whose verdicts drive
+    /// mitigation and fill [`StepRecord::alert`].
+    monitors: Vec<&'a mut dyn HazardMonitor>,
+    /// The injector, its target's route and its legitimate bounds,
+    /// resolved once per run.
+    fault: Option<(&'a mut FaultInjector, FaultRoute, f64, f64)>,
+    config: &'a LoopConfig,
+    observer: Option<&'a mut dyn FnMut(&StepRecord)>,
+    cgm: Cgm,
+    pump: Pump,
     ctx_mitigator: Option<ContextMitigator>,
     trace: SimTrace,
-    stream: Vec<Option<Hazard>>,
+    /// One verdict stream per monitor.
+    streams: Vec<Vec<Option<Hazard>>>,
     prev_commanded: UnitsPerHour,
     dead: Option<SimError>,
 }
 
-impl Lane {
-    /// Mirrors the scalar engine's per-run setup: reset components,
-    /// resolve the fault route and bounds once, preallocate the trace.
+impl<'a> Lane<'a> {
+    /// Per-run setup: reset components, resolve the fault route and
+    /// bounds once, preallocate the trace and verdict streams.
+    ///
+    /// An unknown fault-target name injects with unbounded range (the
+    /// legacy positional API's behaviour);
+    /// [`SessionBuilder`](crate::session::SessionBuilder) rejects such
+    /// a target before the engine sees it.
     fn new(
-        mut controller: Box<dyn Controller>,
-        mut monitor: Option<Box<dyn HazardMonitor>>,
-        mut injector: Option<FaultInjector>,
-        config: LoopConfig,
+        controller: &'a mut dyn Controller,
+        mut monitors: Vec<&'a mut dyn HazardMonitor>,
+        injector: Option<&'a mut FaultInjector>,
+        config: &'a LoopConfig,
+        observer: Option<&'a mut dyn FnMut(&StepRecord)>,
         patient_name: &str,
-    ) -> Lane {
+    ) -> Lane<'a> {
         controller.reset();
-        if let Some(m) = monitor.as_deref_mut() {
+        for m in monitors.iter_mut() {
             m.reset();
         }
-        if let Some(inj) = injector.as_mut() {
-            inj.reset();
-        }
-        let ctx_mitigator = config.context_mitigation.map(ContextMitigator::new);
-        let vars = controller.state_vars();
-        let fault_plan = injector.as_ref().map(|inj| {
-            let target = &inj.scenario().target;
-            let route = match target.as_str() {
-                "rate" => FaultRoute::Rate,
-                "glucose" => FaultRoute::Glucose,
-                _ => FaultRoute::Internal,
-            };
-            let bounds = vars
-                .iter()
-                .find(|v| v.name == *target)
-                .map(|v| (v.min, v.max))
-                .unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
-            (route, bounds, target.clone())
-        });
         let mut meta = TraceMeta {
             patient: patient_name.to_owned(),
             initial_bg: config.initial_bg,
             ..TraceMeta::default()
         };
-        if let Some(inj) = injector.as_ref() {
+        let fault = injector.map(|inj| {
+            inj.reset();
             meta.fault_name = inj.scenario().name();
             meta.fault_start = Some(inj.scenario().start);
-        }
+            let target = &inj.scenario().target;
+            let (lo, hi) = controller
+                .state_vars()
+                .iter()
+                .find(|v| v.name == *target)
+                .map(|v| (v.min, v.max))
+                .unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
+            let route = match target.as_str() {
+                "rate" => FaultRoute::Rate,
+                "glucose" => FaultRoute::Glucose,
+                _ => FaultRoute::Internal(target.clone()),
+            };
+            (inj, route, lo, hi)
+        });
+        // Preallocated records: the recording path never reallocates.
         let trace = SimTrace::with_capacity(meta, config.steps as usize);
-        let stream = if monitor.is_some() {
-            Vec::with_capacity(config.steps as usize)
-        } else {
-            Vec::new()
-        };
+        let streams = monitors
+            .iter()
+            .map(|_| Vec::with_capacity(config.steps as usize))
+            .collect();
+        // Action classification compares against the previous
+        // *commanded* rate (the paper's u1..u4 alphabet is over the
+        // controller's command stream). The seed compared against the
+        // previous *delivered* rate, so pump quantization (e.g. 4.29
+        // commanded vs 4.30 delivered) misclassified a steady max-rate
+        // fault as `DecreaseInsulin` every cycle and no SCS rule could
+        // ever fire.
         let prev_commanded = UnitsPerHour(controller.basal_rate().value());
         Lane {
             controller,
-            monitor,
-            injector,
+            monitors,
+            fault,
             config,
-            fault_plan,
-            ctx_mitigator,
+            observer,
+            cgm: Cgm::new(config.cgm),
+            pump: Pump::new(config.pump),
+            ctx_mitigator: config.context_mitigation.map(ContextMitigator::new),
             trace,
-            stream,
+            streams,
             prev_commanded,
             dead: None,
         }
     }
 }
 
-/// Builds one lane's scalar harness exactly as the campaign's scalar
-/// path builds a job's run (same construction order, same defaults).
+/// One campaign job's owned closed-loop parts: its freshly reset cohort
+/// patient, loaded into the block's bank, and the rest, lent to the
+/// engine as a [`Lane`] for the length of the block.
+struct JobParts {
+    patient: CohortPatient,
+    controller: Box<dyn Controller>,
+    monitor: Option<Box<dyn HazardMonitor>>,
+    injector: Option<FaultInjector>,
+    config: LoopConfig,
+    patient_name: String,
+}
+
+impl JobParts {
+    fn lane(&mut self) -> Lane<'_> {
+        Lane::new(
+            self.controller.as_mut(),
+            self.monitor
+                .iter_mut()
+                .map(|m| m.as_mut() as &mut dyn HazardMonitor)
+                .collect(),
+            self.injector.as_mut(),
+            &self.config,
+            None,
+            &self.patient_name,
+        )
+    }
+}
+
+/// Builds one campaign job's parts: the one place a job's run is
+/// constructed.
 fn build_lane(
     spec: &CampaignSpec,
     job: &CampaignJob,
     monitor_factory: Option<&MonitorFactory<'_>>,
-) -> (CohortPatient, Lane) {
+) -> JobParts {
     let platform = spec.platform;
     let mut patient = platform
         .concrete_patient(job.patient_idx)
@@ -171,18 +230,26 @@ fn build_lane(
         ..LoopConfig::default()
     };
     patient.as_dyn_mut().reset(MgDl(config.initial_bg));
-    let lane = Lane::new(controller, monitor, injector, config, &ctx.patient);
-    (patient, lane)
+    JobParts {
+        patient,
+        controller,
+        monitor,
+        injector,
+        config,
+        patient_name: ctx.patient,
+    }
 }
 
 /// Runs a block of up to `LANES` campaign jobs in lockstep, returning
-/// one result per job in job order — each bit-identical to what the
-/// scalar [`run_campaign_serial`](crate::campaign::run_campaign_serial)
-/// path produces for that job.
+/// one result per job in job order. Every campaign executor runs its
+/// jobs through here: the scalar ones as one-job blocks
+/// (`run_block::<1>`), the batched one [`BATCH_LANES`] jobs at a time.
+/// A job's trace does not depend on the block width (pinned by
+/// `tests/batched_equivalence.rs`).
 ///
-/// Ragged blocks (fewer jobs than lanes) pad the unused lanes with a
-/// copy of the first job's patient under a zero insulin rate; padding
-/// lanes have no scalar harness and their physics is discarded.
+/// Ragged blocks (fewer jobs than lanes) load the first job's patient
+/// into the unused lanes and step them at a zero insulin rate; padding
+/// lanes have no harness and their physics is discarded.
 ///
 /// # Panics
 ///
@@ -199,73 +266,121 @@ pub fn run_block<const LANES: usize>(
         "block of {} jobs exceeds {LANES} lanes",
         jobs.len()
     );
-    let mut patients: Vec<CohortPatient> = Vec::with_capacity(LANES);
-    let mut lanes: Vec<Lane> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let (patient, lane) = build_lane(spec, job, monitor_factory);
-        patients.push(patient);
-        lanes.push(lane);
-    }
-    // Padding lanes: a copy of the first job's freshly reset patient,
-    // stepped at a zero rate and discarded. Copying a real parameter
-    // set (instead of leaving the bank's zeroed defaults) keeps the
-    // dead lanes' ODE arithmetic finite, so no spurious NaNs ride
-    // along in the block.
-    while patients.len() < LANES {
-        let mut p = patients[0].clone();
-        p.as_dyn_mut().reset(MgDl(jobs[0].initial_bg));
-        patients.push(p);
-    }
-    match &patients[0] {
+    let mut parts: Vec<JobParts> = jobs
+        .iter()
+        .map(|job| build_lane(spec, job, monitor_factory))
+        .collect();
+    // A padding lane loads a real parameter set (instead of the bank's
+    // zeroed defaults), so its ODE arithmetic stays finite and no
+    // spurious NaNs ride along in the block.
+    let patient = |l: usize| &parts.get(l).unwrap_or(&parts[0]).patient;
+    match parts[0].patient {
         CohortPatient::Bergman(_) => {
             let mut bank = BatchedBergman::<LANES>::new();
-            for (l, p) in patients.iter().enumerate() {
-                match p {
+            for l in 0..LANES {
+                match patient(l) {
                     CohortPatient::Bergman(bp) => bank.load_lane(l, bp),
                     CohortPatient::DallaMan(_) => {
                         unreachable!("one platform yields one patient model")
                     }
                 }
             }
-            run_block_engine(&mut bank, lanes)
+            run_block_engine(&mut bank, parts.iter_mut().map(JobParts::lane).collect())
         }
         CohortPatient::DallaMan(_) => {
             let mut bank = BatchedDallaMan::<LANES>::new();
-            for (l, p) in patients.iter().enumerate() {
-                match p {
+            for l in 0..LANES {
+                match patient(l) {
                     CohortPatient::DallaMan(dp) => bank.load_lane(l, dp),
                     CohortPatient::Bergman(_) => {
                         unreachable!("one platform yields one patient model")
                     }
                 }
             }
-            run_block_engine(&mut bank, lanes)
+            run_block_engine(&mut bank, parts.iter_mut().map(JobParts::lane).collect())
         }
     }
 }
 
-/// What one lane staged between its controller decision and the
-/// pump's delivery (the scalar engine records the step only after the
-/// pump actuates).
-struct Staged {
-    commanded: UnitsPerHour,
-    action: ControlAction,
-    alert: Option<Hazard>,
+/// A scalar patient seen as a one-lane bank, so a single run of any
+/// [`PatientSim`] — custom models included — goes through the same
+/// engine as a campaign block.
+struct SoloPatient<'a>(&'a mut dyn PatientSim);
+
+impl BatchedPatientSim<1> for SoloPatient<'_> {
+    fn bg(&self, _lane: usize) -> MgDl {
+        self.0.bg()
+    }
+
+    fn step_all(&mut self, rates: &[UnitsPerHour; 1], minutes: f64) {
+        self.0.step(rates[0], minutes);
+    }
+
+    fn ingest(&mut self, _lane: usize, carbs_g: f64) {
+        self.0.ingest(carbs_g);
+    }
+
+    fn exert(&mut self, _lane: usize, intensity: f64, duration_min: f64) {
+        self.0.exert(intensity, duration_min);
+    }
+
+    fn lane_is_finite(&self, _lane: usize) -> bool {
+        self.0.state_is_finite()
+    }
 }
 
-/// The lockstep control loop: batched physics, per-lane scalar
-/// everything else, in exactly the scalar engine's per-cycle order.
+/// Runs one closed loop over borrowed parts as a one-lane block: the
+/// path of [`Session::try_run`](crate::session::Session::try_run) and
+/// the positional [`closed_loop::run`](crate::closed_loop::run).
+///
+/// The monitors are ordered (index 0 is the primary); with none the
+/// loop is monitor-free and `monitor_tracks` stays empty.
+pub(crate) fn run_solo<'a>(
+    patient: &mut dyn PatientSim,
+    controller: &'a mut dyn Controller,
+    monitors: Vec<&'a mut dyn HazardMonitor>,
+    injector: Option<&'a mut FaultInjector>,
+    config: &'a LoopConfig,
+    observer: Option<&'a mut dyn FnMut(&StepRecord)>,
+) -> Result<SimTrace, SimError> {
+    patient.reset(MgDl(config.initial_bg));
+    let lane = Lane::new(
+        controller,
+        monitors,
+        injector,
+        config,
+        observer,
+        patient.name(),
+    );
+    let mut results = run_block_engine(&mut SoloPatient(patient), vec![lane]);
+    // One lane in, one result out.
+    results.remove(0)
+}
+
+/// The closed-loop engine — the only one in the crate. One physics
+/// step advances every lane of the bank at once; between physics steps
+/// each live lane runs its control cycle in one fixed order: meals and
+/// exercise, CGM, fault injection, controller, monitor bank,
+/// mitigation, pump, recording, observer.
+///
+/// The engine is *checked*: after every physics step it tests each
+/// live lane's finiteness and turns a diverged lane into
+/// [`SimError::NonFinite`] instead of letting NaN poison its trace
+/// (physiological floors are `f64::max`-style and would silently
+/// absorb it). A dead lane is skipped from then on, and the cycle loop
+/// stops once every lane is dead.
 fn run_block_engine<const LANES: usize>(
     bank: &mut dyn BatchedPatientSim<LANES>,
-    mut lanes: Vec<Lane>,
+    mut lanes: Vec<Lane<'_>>,
 ) -> Vec<Result<SimTrace, SimError>> {
+    // Steps are spec-level, identical across a block's lanes.
     let steps = lanes[0].config.steps;
-    // Sensor and pump configs are spec-level, identical across lanes.
-    let mut cgm = CgmBank::<LANES>::new(lanes[0].config.cgm);
-    let mut pump = PumpBank::<LANES>::new(lanes[0].config.pump);
-
     for s in 0..steps {
         let step = Step(s);
+        // Dead and padding lanes ride along the physics step at a zero
+        // rate (non-finite state is absorbing, zero-rate padding is
+        // finite) without any lane-crossing arithmetic.
+        let mut delivered = [UnitsPerHour(0.0); LANES];
         for (l, lane) in lanes.iter_mut().enumerate() {
             if lane.dead.is_some() {
                 continue;
@@ -279,55 +394,48 @@ fn run_block_engine<const LANES: usize>(
             for bout in lane.config.exercise.iter().filter(|b| b.step == step) {
                 bank.exert(l, bout.intensity, bout.duration_min);
             }
-        }
-        let true_bg: [MgDl; LANES] = std::array::from_fn(|l| bank.bg(l));
-        let readings = cgm.sample_all(&true_bg);
+            let true_bg = bank.bg(l);
+            let reading = lane.cgm.sample(true_bg);
 
-        // Decide + mitigate per lane; delivery happens bank-wide below
-        // because the scalar engine records each step with its
-        // delivered rate.
-        let mut mitigated = [UnitsPerHour(0.0); LANES];
-        let mut staged: [Option<Staged>; LANES] = std::array::from_fn(|_| None);
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            if lane.dead.is_some() {
-                continue;
-            }
-            let reading = readings[l];
-            if let (Some(inj), Some((route, (lo, hi), target))) =
-                (lane.injector.as_mut(), lane.fault_plan.as_ref())
-            {
+            // Fault injection on the controller's input/internal
+            // variables.
+            if let Some((inj, route, lo, hi)) = lane.fault.as_mut() {
+                let (lo, hi) = (*lo, *hi);
                 match route {
                     // Output faults are applied after the decision below.
                     FaultRoute::Rate => {}
                     FaultRoute::Glucose => {
-                        let faulty = inj.perturb_target(step, reading.value(), *lo, *hi);
+                        let faulty = inj.perturb_target(step, reading.value(), lo, hi);
                         if inj.is_active(step) {
                             lane.controller.set_state("glucose", faulty);
                         }
                     }
-                    FaultRoute::Internal if inj.is_active(step) => {
+                    FaultRoute::Internal(target) if inj.is_active(step) => {
+                        // Perturb last cycle's value (the freshest
+                        // observable) and force it for this decision.
                         let base = lane.controller.get_state(target).unwrap_or(0.5 * (lo + hi));
-                        let faulty = inj.perturb_target(step, base, *lo, *hi);
+                        let faulty = inj.perturb_target(step, base, lo, hi);
                         lane.controller.set_state(target, faulty);
                     }
-                    FaultRoute::Internal => {
+                    FaultRoute::Internal(target) => {
                         // Keep the injector's Hold history fresh
-                        // pre-activation, like the scalar engine.
+                        // pre-activation.
                         if let Some(base) = lane.controller.get_state(target) {
-                            inj.perturb_target(step, base, *lo, *hi);
+                            inj.perturb_target(step, base, lo, hi);
                         }
                     }
                 }
             }
 
             let mut commanded = lane.controller.decide(step, reading);
-            if let (Some(inj), Some((FaultRoute::Rate, (lo, hi), _))) =
-                (lane.injector.as_mut(), lane.fault_plan.as_ref())
-            {
+            // Output (actuator-command) faults.
+            if let Some((inj, FaultRoute::Rate, lo, hi)) = lane.fault.as_mut() {
                 commanded = UnitsPerHour(inj.perturb_target(step, commanded.value(), *lo, *hi));
             }
 
             let action = ControlAction::classify(commanded, lane.prev_commanded);
+            // Monitor bank check: every member sees the same input; the
+            // primary's verdict feeds mitigation and the alert column.
             let input = MonitorInput {
                 step,
                 bg: reading,
@@ -335,13 +443,15 @@ fn run_block_engine<const LANES: usize>(
                 previous_rate: lane.prev_commanded,
             };
             let mut alert = None;
-            if let Some(m) = lane.monitor.as_deref_mut() {
+            for (i, m) in lane.monitors.iter_mut().enumerate() {
                 let verdict = m.check(&input);
-                lane.stream.push(verdict);
-                alert = verdict;
+                lane.streams[i].push(verdict);
+                if i == 0 {
+                    alert = verdict;
+                }
             }
 
-            mitigated[l] = if let Some(cm) = lane.ctx_mitigator.as_mut() {
+            let mitigated = if let Some(cm) = lane.ctx_mitigator.as_mut() {
                 let mit_ctx = cm.observe_bg(reading);
                 cm.mitigate(alert, &mit_ctx, commanded)
             } else {
@@ -350,55 +460,46 @@ fn run_block_engine<const LANES: usize>(
                     _ => commanded,
                 }
             };
-            staged[l] = Some(Staged {
-                commanded,
-                action,
-                alert,
-            });
-        }
 
-        let delivered = pump.deliver_all(&mitigated, CONTROL_CYCLE_MINUTES);
-
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            let Some(st) = staged[l].take() else {
-                continue; // dead lane: nothing staged
-            };
+            delivered[l] = lane.pump.deliver(mitigated, CONTROL_CYCLE_MINUTES);
             lane.controller.observe_delivery(delivered[l]);
-            if let Some(m) = lane.monitor.as_deref_mut() {
+            for m in lane.monitors.iter_mut() {
                 m.observe_delivery(delivered[l]);
             }
             if let Some(cm) = lane.ctx_mitigator.as_mut() {
                 cm.observe_delivery(delivered[l]);
             }
-            let fault_active = lane
-                .injector
-                .as_ref()
-                .map(|i| i.is_active(step))
-                .unwrap_or(false);
+
+            let fault_active = lane.fault.as_ref().is_some_and(|f| f.0.is_active(step));
             lane.trace.push(StepRecord {
                 step,
-                bg: readings[l],
-                bg_true: true_bg[l],
+                bg: reading,
+                bg_true: true_bg,
                 iob: lane.controller.iob(),
-                commanded: st.commanded,
+                commanded,
                 delivered: delivered[l],
-                action: st.action,
+                action,
                 fault_active,
                 hazard: None,
-                alert: st.alert,
+                alert,
             });
-            lane.prev_commanded = st.commanded;
+            if let (Some(obs), Some(rec)) = (lane.observer.as_mut(), lane.trace.records.last()) {
+                obs(rec);
+            }
+            lane.prev_commanded = commanded;
         }
 
-        // One lockstep physics step for every lane — dead and padding
-        // lanes ride along (non-finite state is absorbing, zero-rate
-        // padding is finite) without any lane-crossing arithmetic.
         bank.step_all(&delivered, CONTROL_CYCLE_MINUTES);
 
+        let mut live = false;
         for (l, lane) in lanes.iter_mut().enumerate() {
             if lane.dead.is_none() && !bank.lane_is_finite(l) {
                 lane.dead = Some(SimError::NonFinite { cycle: s });
             }
+            live |= lane.dead.is_none();
+        }
+        if !live {
+            break;
         }
     }
 
@@ -409,12 +510,15 @@ fn run_block_engine<const LANES: usize>(
                 return Err(e);
             }
             let mut trace = lane.trace;
-            if let Some(m) = &lane.monitor {
-                trace.monitor_tracks = vec![AlertTrack {
+            trace.monitor_tracks = lane
+                .monitors
+                .iter()
+                .zip(lane.streams)
+                .map(|(m, alerts)| AlertTrack {
                     monitor: m.name().to_owned(),
-                    alerts: lane.stream,
-                }];
-            }
+                    alerts,
+                })
+                .collect();
             aps_risk::label_trace(&mut trace, &lane.config.labels);
             Ok(trace)
         })
@@ -456,25 +560,41 @@ pub fn run_campaign_batched_with_workers(
     spec: &CampaignSpec,
     monitor_factory: Option<&MonitorFactory<'_>>,
     workers: Option<usize>,
+    sink: impl FnMut(usize, SimTrace),
+) {
+    run_blocks_with::<BATCH_LANES>(spec, monitor_factory, workers, sink);
+}
+
+/// Streams the campaign through the crate's one ordered executor in
+/// blocks of `LANES` consecutive jobs, each run in lockstep, handing
+/// every trace to `sink(job_index, trace)` in job order.
+///
+/// # Panics
+///
+/// Panics if any job fails mid-run.
+pub(crate) fn run_blocks_with<const LANES: usize>(
+    spec: &CampaignSpec,
+    monitor_factory: Option<&MonitorFactory<'_>>,
+    workers: Option<usize>,
     mut sink: impl FnMut(usize, SimTrace),
 ) {
     let jobs = campaign_jobs(spec);
     let n = jobs.len();
     let Ok(_) = run_ordered(
-        n.div_ceil(BATCH_LANES),
+        n.div_ceil(LANES),
         worker_count(workers).0,
         None,
         |b| {
-            let lo = b * BATCH_LANES;
-            let hi = (lo + BATCH_LANES).min(n);
-            run_block::<BATCH_LANES>(spec, &jobs[lo..hi], monitor_factory)
+            let lo = b * LANES;
+            let hi = (lo + LANES).min(n);
+            run_block::<LANES>(spec, &jobs[lo..hi], monitor_factory)
                 .into_iter()
                 .map(|r| r.unwrap_or_else(|e| panic!("campaign job failed: {e}")))
                 .collect::<Vec<_>>()
         },
         |b, traces| {
             for (j, trace) in traces.into_iter().enumerate() {
-                sink(b * BATCH_LANES + j, trace);
+                sink(b * LANES + j, trace);
             }
             Ok::<_, Infallible>(())
         },

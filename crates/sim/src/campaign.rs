@@ -29,23 +29,20 @@
 //! deterministic worker panics, delays, and poisoned specs to exercise
 //! all of the above.
 
+use crate::batch::run_block;
 use crate::chaos::{ChaosConfig, ChaosPlan};
 use crate::checkpoint::{
     spec_hash, to_hex, AggregatePartials, CampaignCheckpoint, CheckpointError, JobBitmap,
     CHECKPOINT_VERSION,
 };
-use crate::closed_loop::{try_run, LoopConfig};
 use crate::executor::run_ordered;
 use crate::outcome::{ErrorLedger, JobOutcome, LedgerEntry, RetryPolicy, SimError};
 use crate::platform::Platform;
-use aps_core::hms::ContextMitigatorConfig;
-use aps_core::mitigation::Mitigator;
 use aps_core::monitors::HazardMonitor;
-use aps_fault::{campaign_grid, CampaignConfig, FaultInjector, FaultKind, FaultScenario};
+use aps_fault::{campaign_grid, CampaignConfig, FaultKind, FaultScenario};
 use aps_glucose::sensor::CgmConfig;
 use aps_types::{MgDl, SimTrace, Step, UnitsPerHour};
 use serde::{Deserialize, Serialize};
-use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -223,50 +220,21 @@ pub fn campaign_size(spec: &CampaignSpec) -> usize {
     expand(spec).len()
 }
 
-/// Runs one job on the calling thread, surfacing mid-run failures as
-/// a typed error. [`run_job`] is the panicking wrapper the legacy
-/// executors use.
-fn try_run_job(
-    spec: &CampaignSpec,
-    job: &Job,
-    monitor_factory: Option<&MonitorFactory<'_>>,
-) -> Result<SimTrace, SimError> {
-    let platform = spec.platform;
-    let mut patient = platform.patients().remove(job.patient_idx);
-    let mut controller = platform.controller_for(patient.as_ref());
-    let ctx = ScenarioCtx {
-        patient: patient.name().to_owned(),
-        basal: platform.basal_for(patient.as_ref()),
-        target: platform.target(),
-        max_rate: platform.max_mitigation_rate(patient.as_ref()),
-    };
-    let mut monitor = monitor_factory.map(|f| f(&ctx));
-    let mut injector = job.scenario.clone().map(FaultInjector::new);
-    let config = LoopConfig {
-        steps: spec.steps,
-        initial_bg: job.initial_bg,
-        mitigator: (spec.mitigate && !spec.context_mitigate)
-            .then(|| Mitigator::paper_default(ctx.max_rate)),
-        context_mitigation: (spec.mitigate && spec.context_mitigate)
-            .then(|| ContextMitigatorConfig::for_run(ctx.target, ctx.basal, ctx.max_rate)),
-        cgm: spec.cgm,
-        ..LoopConfig::default()
-    };
-    try_run(
-        patient.as_mut(),
-        controller.as_mut(),
-        monitor.as_deref_mut(),
-        injector.as_mut(),
-        &config,
-    )
-}
-
+/// Runs one job on the calling thread as a one-lane lockstep block.
+///
+/// # Panics
+///
+/// Panics if the job fails mid-run; the fault-tolerant executor runs
+/// the block itself and ledgers the typed error instead.
 fn run_job(
     spec: &CampaignSpec,
     job: &Job,
     monitor_factory: Option<&MonitorFactory<'_>>,
 ) -> SimTrace {
-    try_run_job(spec, job, monitor_factory).unwrap_or_else(|e| panic!("campaign job failed: {e}"))
+    // One job in, one result out.
+    run_block::<1>(spec, std::slice::from_ref(job), monitor_factory)
+        .remove(0)
+        .unwrap_or_else(|e| panic!("campaign job failed: {e}"))
 }
 
 /// Upper bound on the worker count, however it was requested. High
@@ -435,12 +403,22 @@ fn poisoned_scenario() -> FaultScenario {
     FaultScenario::new("", FaultKind::Scale(f64::NAN), Step(0), 1)
 }
 
-/// Validates a job before simulation: finite initial BG and a
-/// structurally valid scenario.
-fn validate_job(job: &Job) -> Result<(), SimError> {
+/// Validates a job before simulation: finite initial BG, a patient
+/// index inside the platform's cohort and a structurally valid
+/// scenario.
+fn validate_job(platform: Platform, job: &Job) -> Result<(), SimError> {
     if !job.initial_bg.is_finite() {
         return Err(SimError::InvalidSpec {
             detail: format!("initial_bg must be finite, got {}", job.initial_bg),
+        });
+    }
+    let cohort = platform.cohort_size();
+    if job.patient_idx >= cohort {
+        return Err(SimError::InvalidSpec {
+            detail: format!(
+                "patient index {} out of range (cohort has {cohort} patients)",
+                job.patient_idx
+            ),
         });
     }
     if let Some(s) = &job.scenario {
@@ -489,8 +467,9 @@ fn run_job_checked(
                     crate::chaos::INJECTED_PANIC_PREFIX
                 );
             }
-            validate_job(job_ref)?;
-            try_run_job(spec, job_ref, monitor_factory)
+            validate_job(spec.platform, job_ref)?;
+            // One job in, one result out.
+            run_block::<1>(spec, std::slice::from_ref(job_ref), monitor_factory).remove(0)
         }))
         .unwrap_or_else(|payload| {
             Err(SimError::Panicked {
@@ -763,19 +742,9 @@ pub fn run_campaign_with_workers(
     spec: &CampaignSpec,
     monitor_factory: Option<&MonitorFactory<'_>>,
     workers: Option<usize>,
-    mut sink: impl FnMut(usize, SimTrace),
+    sink: impl FnMut(usize, SimTrace),
 ) {
-    let jobs = expand(spec);
-    let Ok(_) = run_ordered(
-        jobs.len(),
-        worker_count(workers).0,
-        None,
-        |i| run_job(spec, &jobs[i], monitor_factory),
-        |i, trace| {
-            sink(i, trace);
-            Ok::<_, Infallible>(())
-        },
-    );
+    crate::batch::run_blocks_with::<1>(spec, monitor_factory, workers, sink);
 }
 
 /// Runs the whole campaign, parallelized over the available cores.
@@ -1114,6 +1083,28 @@ mod tests {
         for entry in &ft.report.ledger.entries {
             assert!(matches!(entry.error, SimError::InvalidSpec { .. }));
             assert_eq!(entry.attempts, 1);
+        }
+    }
+
+    #[test]
+    fn out_of_range_patient_index_is_an_invalid_spec() {
+        // A spec can arrive from outside the program (a service
+        // submission); a bad cohort index is a typed validation error,
+        // not a panic inside patient construction.
+        let spec = CampaignSpec {
+            steps: 10,
+            patient_indices: vec![10],
+            ..tiny_spec()
+        };
+        let ft = run_campaign_ft(&spec, None, &CampaignOptions::default()).unwrap();
+        assert_eq!(ft.report.failed_jobs, campaign_size(&spec));
+        for entry in &ft.report.ledger.entries {
+            assert_eq!(
+                entry.error,
+                SimError::InvalidSpec {
+                    detail: "patient index 10 out of range (cohort has 10 patients)".into()
+                }
+            );
         }
     }
 

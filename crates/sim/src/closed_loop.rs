@@ -128,11 +128,12 @@ impl Default for LoopConfig {
 
 /// Runs one closed-loop simulation (legacy positional entry point).
 ///
-/// This is a documented thin wrapper over the session engine — the
-/// same loop that powers [`Session::run`](crate::session::Session) and
-/// the campaign executors — retained for source compatibility. New
-/// code should prefer [`Session::builder`](crate::session::Session),
-/// which accepts any number of monitors (recorded as
+/// This runs through the same engine as
+/// [`Session::run`](crate::session::Session) and the campaign
+/// executors — a one-lane block of [`batch`](crate::batch) — and is
+/// retained for source compatibility. New code should prefer
+/// [`Session::builder`](crate::session::Session), which accepts any
+/// number of monitors (recorded as
 /// [`monitor_tracks`](aps_types::SimTrace::monitor_tracks)), a
 /// per-step observer, and — unlike this function, which silently
 /// treats an unknown fault-target name as an *unbounded* variable —
@@ -143,6 +144,7 @@ impl Default for LoopConfig {
 /// model assumes sensor data is protected and faults target the
 /// controller. The injector perturbs the controller's named input /
 /// internal / output variables while its activation window is open.
+///
 /// # Panics
 ///
 /// Panics if the patient ODE state becomes non-finite mid-run (the
@@ -156,27 +158,18 @@ pub fn run(
     injector: Option<&mut FaultInjector>,
     config: &LoopConfig,
 ) -> SimTrace {
-    try_run(patient, controller, monitor, injector, config)
-        .unwrap_or_else(|e| panic!("closed-loop run failed: {e}"))
-}
-
-/// Checked variant of [`run`]: mid-run failures become a typed
-/// [`SimError`](crate::outcome::SimError). The fault-tolerant
-/// campaign executor runs jobs through this path so a diverging ODE
-/// lands in the error ledger instead of tearing a worker down.
-pub(crate) fn try_run(
-    patient: &mut dyn PatientSim,
-    controller: &mut dyn Controller,
-    monitor: Option<&mut (dyn HazardMonitor + 'static)>,
-    injector: Option<&mut FaultInjector>,
-    config: &LoopConfig,
-) -> Result<SimTrace, crate::outcome::SimError> {
-    match monitor {
-        Some(m) => {
-            crate::session::run_engine(patient, controller, &mut [m], injector, config, None)
-        }
-        None => crate::session::run_engine(patient, controller, &mut [], injector, config, None),
-    }
+    crate::batch::run_solo(
+        patient,
+        controller,
+        monitor
+            .into_iter()
+            .map(|m| m as &mut dyn HazardMonitor)
+            .collect(),
+        injector,
+        config,
+        None,
+    )
+    .unwrap_or_else(|e| panic!("closed-loop run failed: {e}"))
 }
 
 #[cfg(test)]

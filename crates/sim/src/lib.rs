@@ -10,15 +10,17 @@
 //!   [`MonitorBank`](aps_core::monitors::MonitorBank), fault, config,
 //!   per-step observer), and a serde
 //!   [`SessionSpec`](session::SessionSpec) describes runs as data;
-//! * [`closed_loop::run`] — the legacy positional wrapper over the
-//!   same engine, one optional monitor;
+//! * [`closed_loop::run`] — the legacy positional entry point, one
+//!   optional monitor, run by the same engine as a session;
 //! * [`platform::Platform`] — the two evaluation platforms (OpenAPS +
 //!   Glucosym-style, Basal-Bolus + UVA-Padova-style);
-//! * [`batch`] — the batched lockstep campaign engine: blocks of
-//!   [`batch::BATCH_LANES`] jobs share one structure-of-arrays
-//!   physics bank ([`batch::run_block`]) and workers claim whole
-//!   blocks ([`batch::run_campaign_batched_with`]), bit-identical to
-//!   the scalar executors;
+//! * [`batch`] — the crate's one closed-loop engine, a lockstep
+//!   block of lanes over a shared physics bank. A session is a
+//!   one-lane block over its own patient, every scalar campaign job a
+//!   one-lane block ([`batch::run_block`]), and the batched executor
+//!   ([`batch::run_campaign_batched_with`]) runs blocks of
+//!   [`batch::BATCH_LANES`] jobs over one structure-of-arrays bank
+//!   with the same output, job for job;
 //! * [`campaign`] — the fault-injection campaign runner (grid of
 //!   patients × initial BG × scenarios, multi-threaded), with
 //!   streaming sinks ([`campaign::run_campaign_with`]), a pull-based

@@ -58,9 +58,10 @@ impl Platform {
         (index < cohort.len()).then(|| cohort.swap_remove(index))
     }
 
-    /// Cohort size (every platform ships ten virtual patients).
+    /// Cohort size (every platform ships ten virtual patients, one per
+    /// [`patients::PATIENT_LETTERS`] entry). Builds no patient.
     pub fn cohort_size(&self) -> usize {
-        self.patients().len()
+        patients::COHORT_SIZE
     }
 
     /// Builds the platform's controller tuned to a patient (basal rate
@@ -157,6 +158,7 @@ mod tests {
         for platform in Platform::ALL {
             let cohort = platform.patients();
             assert_eq!(cohort.len(), 10, "{}", platform.name());
+            assert_eq!(platform.cohort_size(), cohort.len());
             let controller = platform.controller_for(cohort[0].as_ref());
             assert!(controller.basal_rate().value() > 0.0);
             assert!(platform.target().value() > 100.0);

@@ -81,7 +81,8 @@
 //!   ODE compartment) integrated by a single
 //!   [`glucose::ode::BatchedRk4Scratch`] pass whose stage math is
 //!   per-lane loops over flat arrays. Three properties make the lanes
-//!   autovectorize *and* stay bit-identical to the scalar engine:
+//!   autovectorize *and* stay bit-identical to the scalar patient
+//!   models:
 //!   (1) lanes are arithmetically independent — no horizontal
 //!   reductions, so lane `l` of a batch op is exactly the scalar op on
 //!   lane `l`'s data; (2) every per-lane expression mirrors its scalar
@@ -89,8 +90,8 @@
 //!   arithmetic is deterministic per operation (rustc neither
 //!   reassociates nor contracts `a * b + c` into FMA, even with AVX2
 //!   enabled via `.cargo/config.toml`'s `target-cpu=x86-64-v3`); (3)
-//!   sensor, pump, and controller per-cycle updates have batched
-//!   bank variants that loop the identical scalar update per lane.
+//!   each lane owns its scalar sensor, pump and controller, so every
+//!   per-cycle update outside the physics is the scalar update.
 //!   8 lanes = two AVX2 (or one AVX-512) f64 vectors per compartment
 //!   row — wide enough to saturate 256-bit units, small enough that a
 //!   ragged final block wastes at most 7 lanes. Bit-identity against
@@ -104,9 +105,9 @@
 //!   with a const-generic stack scratch
 //!   ([`glucose::ode::Rk4Scratch`]); no heap allocation occurs inside
 //!   the per-step RK4 loop, and the batched banks reuse one
-//!   [`glucose::ode::BatchedRk4Scratch`] across steps. The slice-based
-//!   `rk4_step`/`integrate` API survives as thin wrappers with
-//!   bit-identical results (see `tests/perf_equivalence.rs`).
+//!   [`glucose::ode::BatchedRk4Scratch`] across steps. The scratch
+//!   is bit-identical to the seed's allocating RK4 (see
+//!   `tests/perf_equivalence.rs`).
 //! * **O(1) IOB reads, O(window) only on record** — the
 //!   insulin-on-board estimator stores deliveries as (birth-cycle,
 //!   amount) pairs: ages are integer cycle counts that index a

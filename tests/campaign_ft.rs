@@ -20,7 +20,7 @@ use aps_repro::sim::campaign::{
 use aps_repro::sim::chaos::ChaosConfig;
 use aps_repro::sim::checkpoint::{CampaignCheckpoint, CheckpointError};
 use aps_repro::sim::outcome::{JobOutcome, RetryPolicy, SimError};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn tiny_spec() -> CampaignSpec {
@@ -291,6 +291,8 @@ struct ExplodingPatient {
     bg: f64,
     steps: u32,
     explode_at: u32,
+    /// Every `step` call, across resets.
+    calls: Arc<AtomicUsize>,
 }
 
 impl PatientSim for ExplodingPatient {
@@ -302,6 +304,7 @@ impl PatientSim for ExplodingPatient {
     }
     fn step(&mut self, _rate: UnitsPerHour, _minutes: f64) {
         self.steps += 1;
+        self.calls.fetch_add(1, Ordering::Relaxed);
     }
     fn reset(&mut self, bg0: MgDl) {
         self.bg = bg0.0;
@@ -318,17 +321,26 @@ impl PatientSim for ExplodingPatient {
 
 #[test]
 fn diverging_patient_surfaces_as_typed_non_finite_error() {
+    let calls = Arc::new(AtomicUsize::new(0));
     let patient = ExplodingPatient {
         bg: 120.0,
         steps: 0,
         explode_at: 13,
+        calls: Arc::clone(&calls),
     };
+    let mut observed = 0usize;
     let mut session = Session::builder(Platform::GlucosymOref0)
         .patient_sim(Box::new(patient))
+        .observer(|_| observed += 1)
         .build()
         .unwrap();
     match session.try_run() {
         Err(SimError::NonFinite { cycle }) => assert_eq!(cycle, 12),
         other => panic!("expected NonFinite, got {other:?}"),
     }
+    drop(session);
+    // The run stops at the failing cycle: the dead patient is never
+    // stepped again and no record follows the failure.
+    assert_eq!(calls.load(Ordering::Relaxed), 13);
+    assert_eq!(observed, 13);
 }
